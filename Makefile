@@ -79,8 +79,8 @@ lint-pregion:
 # DupListEager, never region-by-region with DupLazy. Batched frame
 # reservations are taken only by the spawn path in internal/kernel (and
 # implemented in internal/hw), so no other layer can mint prepaid quota.
-# And every lazy-creation counter must stay wired into the kernel Stats
-# snapshot, so the observability surface cannot silently rot.
+# (That every lazy-creation counter stays wired into the kernel Stats
+# snapshot is checked by TestCkptStats in internal/kernel.)
 .PHONY: lint-lazydup
 lint-lazydup:
 	@if grep -rnE '\.DupLazy\(' --include='*.go' internal/ cmd/ examples/ *.go 2>/dev/null | grep -v '^internal/vm/'; then \
@@ -91,12 +91,6 @@ lint-lazydup:
 		echo "lint: FrameAcct.Reserve outside internal/hw and internal/kernel — batched reservations belong to the spawn path" >&2; \
 		exit 1; \
 	fi
-	@for ctr in LazyDups LazyBreaks LazyDrops LazyBreakPages SpawnReserved; do \
-		if ! grep -q "$$ctr" internal/kernel/stats.go; then \
-			echo "lint: $$ctr missing from the kernel Stats snapshot — the lazy-creation counters must stay observable" >&2; \
-			exit 1; \
-		fi; \
-	done
 
 # lint-ckpt: a checkpoint image is content-level state (DESIGN.md §17),
 # and two fences keep it that way. internal/ckpt stays a leaf package —
@@ -105,8 +99,8 @@ lint-lazydup:
 # placement. And the kernel's checkpoint/restore code serializes memory
 # only through the vm page API (TrackDirty/TakeDirty/ReadPage/Fill...),
 # never through raw PTE slots or the pte* encoding helpers, so the image
-# format survives PTE-format changes. The checkpoint counters must also
-# stay wired into the kernel Stats snapshot.
+# format survives PTE-format changes. (TestCkptStats checks that the
+# checkpoint counters stay wired into the kernel Stats snapshot.)
 .PHONY: lint-ckpt
 lint-ckpt:
 	@if grep -nE '"repro(/|")' internal/ckpt/*.go; then \
@@ -117,12 +111,6 @@ lint-ckpt:
 		echo "lint: syscalls_ckpt.go touches raw PTE state — checkpoint serialization goes through the vm API (TrackDirty/TakeDirty/ReadPage/FillAccounted), never PTE words" >&2; \
 		exit 1; \
 	fi
-	@for ctr in Ckpts CkptPasses CkptPrePages CkptSTWPages CkptSTWCycles CkptImageBytes Restores; do \
-		if ! grep -q "$$ctr" internal/kernel/stats.go; then \
-			echo "lint: $$ctr missing from the kernel Stats snapshot — the checkpoint counters must stay observable" >&2; \
-			exit 1; \
-		fi; \
-	done
 
 # lint-prctl: the raw prctl(2) option/int64 surface is a compatibility
 # shim. Everything outside internal/kernel (where the typed wrappers —
@@ -146,10 +134,13 @@ vet:
 race:
 	$(GO) test -race ./internal/hw/... ./internal/vm/... ./internal/klock/... ./internal/core/... ./internal/sched/... ./internal/trace/... ./internal/workload/... ./internal/kernel/... ./internal/uspin/... ./internal/ipc/... ./internal/fs/...
 
+# Every row of the experiment table (internal/workload) as a go benchmark,
+# Experiments/<ID>/<row>, at 100 ops each.
 .PHONY: bench
 bench:
 	$(GO) test -run xxx -bench . -benchtime 100x .
 
+# The same table rendered as the EXPERIMENTS.md text tables, -quick scale.
 .PHONY: tables
 tables:
 	$(GO) run ./cmd/benchtab -quick

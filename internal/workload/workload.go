@@ -1,9 +1,11 @@
 // Package workload implements the paper's experiments (DESIGN.md E1..E10)
 // as reusable drivers: each boots a fresh simulated system, runs a
 // workload inside it, and reports wall-clock time, simulated cycles, and
-// event counts. The root package's benchmarks and cmd/benchtab both build
-// on these drivers, so the numbers in EXPERIMENTS.md are regenerable from
-// either.
+// event counts. Experiments (experiments.go) is the single declaration of
+// every evaluation table: its IDs, titles, rows, op counts and shape
+// lines. Both readers only render it: cmd/benchtab as the EXPERIMENTS.md
+// text tables and BENCH json, the root package's BenchmarkExperiments as
+// one go benchmark per row.
 package workload
 
 import (

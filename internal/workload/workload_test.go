@@ -164,9 +164,9 @@ func TestPoolModes(t *testing.T) {
 }
 
 func TestSpeedupCurve(t *testing.T) {
-	ms := Speedup(small(), []int{1, 2, 4}, 64, 2000)
-	if len(ms) != 3 {
-		t.Fatalf("got %d points", len(ms))
+	var ms []Metrics
+	for _, w := range []int{1, 2, 4} {
+		ms = append(ms, Pool(small(), PoolSproc, w, 64, 2000))
 	}
 	// More workers must not increase total cycles dramatically, and wall
 	// time with 4 workers should be below 1 worker's on a 4-CPU machine.
